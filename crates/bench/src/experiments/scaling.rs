@@ -80,7 +80,8 @@ pub fn plan(params: &RunParams) -> ExperimentPlan {
             );
             let mut cursor = 0;
             for (cores, labels) in &groups {
-                let mut speedups = Vec::new();
+                // per-mix columns: lru_ipc, chrome_ipc, speedup, chrome_camat
+                let mut cols: [Vec<f64>; 4] = Default::default();
                 for wl in labels {
                     let lru = cursor;
                     let chrome = cursor + 1;
@@ -92,23 +93,31 @@ pub fn plan(params: &RunParams) -> ExperimentPlan {
                         (Some(l), Some(c)) => c.weighted_speedup_vs(l),
                         _ => f64::NAN,
                     };
-                    speedups.push(s);
+                    let row = [
+                        metric(out, lru, CellResult::ipc_sum),
+                        metric(out, chrome, CellResult::ipc_sum),
+                        s,
+                        metric(out, chrome, |r| {
+                            r.report_metric("camat").unwrap_or(f64::NAN)
+                        }),
+                    ];
+                    for (col, v) in cols.iter_mut().zip(row) {
+                        col.push(v);
+                    }
                     let short: String = wl.chars().take(40).collect();
-                    table.row_f(
-                        &format!("{cores}c {short}"),
-                        &[
-                            metric(out, lru, CellResult::ipc_sum),
-                            metric(out, chrome, CellResult::ipc_sum),
-                            s,
-                            metric(out, chrome, |r| {
-                                r.report_metric("camat").unwrap_or(f64::NAN)
-                            }),
-                        ],
-                    );
+                    table.row_f(&format!("{cores}c {short}"), &row);
                 }
+                // C-AMAT is a latency, so it aggregates as a plain mean;
+                // IPC sums and speedups are ratios and take the geomean.
+                let camat = &cols[3];
                 table.row_f(
                     &format!("{cores}-core geomean"),
-                    &[f64::NAN, f64::NAN, geomean(&speedups), f64::NAN],
+                    &[
+                        geomean(&cols[0]),
+                        geomean(&cols[1]),
+                        geomean(&cols[2]),
+                        camat.iter().sum::<f64>() / camat.len() as f64,
+                    ],
                 );
             }
             vec![table]

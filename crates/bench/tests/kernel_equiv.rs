@@ -162,3 +162,24 @@ fn randomized_configs_are_kernel_invariant() {
         assert_equivalent(&cfg, workload, scheme, 4_000, 400);
     }
 }
+
+/// 72 cores: more than one 64-bit word of cores and not a power of two,
+/// so the due set's rotation order wraps at an unaligned core count and
+/// many cores share each watermark. Nine LLC ways keep the small-test
+/// set count a power of two (72 × 64 KiB / (64 B × 9) = 8192 sets).
+/// Runs with the NoC off and on a 16-slice mesh.
+#[test]
+fn seventy_two_cores_are_kernel_invariant() {
+    let mut cfg = SimConfig::small_test(72);
+    cfg.llc_ways = 9;
+    let mut meshed = cfg.clone();
+    meshed.noc = Some(chrome_noc::NocConfig {
+        slices: 16,
+        ..chrome_noc::NocConfig::default()
+    });
+    for cfg in [&cfg, &meshed] {
+        for scheme in ["LRU", "CHROME"] {
+            assert_equivalent(cfg, "mcf", scheme, 1_500, 150);
+        }
+    }
+}
