@@ -369,7 +369,6 @@ fn check_kernels(opts: &Options, params: &RunParams, workloads: &[String]) -> us
             trace: entry.hash_hex(),
             sampling: opts.sampling.clone(),
             noc: String::new(),
-            workers: 0,
         };
         let plan = chrome_simpoint::build_plan_windowed(
             &tf,

@@ -73,7 +73,6 @@ pub(crate) fn cell(
         trace: String::new(),
         sampling: String::new(),
         noc: params.noc.clone(),
-        workers: params.step_workers as u32,
     }
 }
 

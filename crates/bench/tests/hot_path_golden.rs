@@ -6,6 +6,9 @@
 //! whole simulator still agrees with its own past across policies,
 //! kernels, prefetcher presets and geometries (including the full
 //! Table V 12/20/12-way caches the SIMD probe has to mask correctly).
+//! Sampled-replay cells pin the functional fast-forward path as well:
+//! the per-interval `SimResults` (plus epochs) of `run_sampled` and the
+//! `FunctionalProfile` of `run_functional_profile`.
 //!
 //! Regenerate (only when an *intentional* semantic change lands) with:
 //!
@@ -14,7 +17,8 @@
 //! ```
 
 use chrome_bench::registry::build_any_slot;
-use chrome_sim::{Kernel, PrefetcherConfig, SimConfig, System};
+use chrome_noc::NocConfig;
+use chrome_sim::{Kernel, PrefetcherConfig, SampledInterval, SimConfig, System};
 use chrome_telemetry::{TelemetryConfig, TelemetrySink};
 use chrome_traces::mix;
 
@@ -219,6 +223,74 @@ fn digest_cell(cell: &Cell, kernel: Kernel) -> u64 {
     fnv1a(rendered.as_bytes())
 }
 
+/// Sampled-replay coverage: 1 and 4 cores, LRU and CHROME, NoC off
+/// and on (4 slices), on the small geometry.
+struct SampledCell {
+    scheme: &'static str,
+    cores: usize,
+    noc: bool,
+}
+
+impl SampledCell {
+    fn label(&self) -> String {
+        let noc = if self.noc { "noc4" } else { "flat" };
+        format!("{}-mcf-{}-{noc}", self.scheme.to_lowercase(), self.cores)
+    }
+
+    fn system(&self) -> System {
+        let mut cfg = SimConfig::small_test(self.cores);
+        if self.noc {
+            cfg.noc = Some(NocConfig {
+                slices: 4,
+                ..NocConfig::default()
+            });
+        }
+        let traces = mix::homogeneous("mcf", cfg.cores, 0xC0FFEE).expect("known workload");
+        let policy = build_any_slot(self.scheme).expect("known scheme");
+        System::with_policy(cfg, traces, policy)
+    }
+}
+
+fn sampled_cells() -> Vec<SampledCell> {
+    let mut out = Vec::new();
+    for cores in [1, 4] {
+        for scheme in ["LRU", "CHROME"] {
+            for noc in [false, true] {
+                out.push(SampledCell { scheme, cores, noc });
+            }
+        }
+    }
+    out
+}
+
+/// Two representative intervals: functional fast-forward, a timed ramp,
+/// then a measured slice, with telemetry spanning both measured parts.
+fn digest_sampled(cell: &SampledCell, kernel: Kernel) -> u64 {
+    let plan: Vec<SampledInterval> = [6_000, 18_000]
+        .iter()
+        .map(|&start| SampledInterval {
+            start: vec![start; cell.cores],
+            ramp: 1_000,
+            detail: 3_000,
+        })
+        .collect();
+    let mut sys = cell.system();
+    sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
+    let results = sys.run_sampled(&plan, kernel);
+    let epochs = sys
+        .telemetry()
+        .with(|t| t.epochs.clone())
+        .unwrap_or_default();
+    fnv1a(format!("{results:?}|{:?}", epochs.records()).as_bytes())
+}
+
+/// Functional-only profile over four aligned 5K-instruction intervals.
+fn digest_profile(cell: &SampledCell) -> u64 {
+    let boundaries = vec![vec![0, 5_000, 10_000, 15_000, 20_000]; cell.cores];
+    let profile = cell.system().run_functional_profile(&boundaries);
+    fnv1a(format!("{profile:?}").as_bytes())
+}
+
 #[test]
 fn hot_paths_match_pre_refactor_golden_digests() {
     let regen = std::env::var("REGEN_HOT_PATH_GOLDEN").is_ok();
@@ -231,6 +303,18 @@ fn hot_paths_match_pre_refactor_golden_digests() {
             let digest = digest_cell(&cell, kernel);
             lines.push(format!("{}/{kname} {digest:#018x}", cell.label));
         }
+    }
+    for cell in sampled_cells() {
+        let label = cell.label();
+        for (kname, kernel) in [
+            ("event", Kernel::EventDriven),
+            ("reference", Kernel::Reference),
+        ] {
+            let digest = digest_sampled(&cell, kernel);
+            lines.push(format!("sampled-{label}/{kname} {digest:#018x}"));
+        }
+        let digest = digest_profile(&cell);
+        lines.push(format!("profile-{label} {digest:#018x}"));
     }
     let current = lines.join("\n") + "\n";
     if regen {

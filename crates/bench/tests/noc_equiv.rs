@@ -1,44 +1,32 @@
-//! Differential tests for the mesh NoC and the deterministic
-//! work-stealing core stepper.
+//! Differential tests for the mesh NoC.
 //!
-//! Two independent equivalence claims are pinned here:
-//!
-//! 1. **Worker-count invariance.** Stepping cores through the parallel
-//!    phase-A/phase-B pool must be a pure scheduling transform: for any
-//!    worker count, both kernels, NoC off or on, the run produces
-//!    byte-identical [`SimResults`] and identical epoch telemetry to the
-//!    sequential stepper. Phase A (retire + issue planning) touches only
-//!    core-private state; phase B applies the plans in rotation order,
-//!    so shared-state mutation order is independent of which worker ran
-//!    which core.
-//! 2. **Kernel invariance under the NoC.** The event-driven kernel's
-//!    clock jumps must stay exact when LLC latency is no longer uniform
-//!    (per-slice routing, link contention).
-//!
-//! The NoC-*off* half of the matrix doubles as a regression guard: it
-//! re-checks that the parallel stepper reproduces exactly what the
-//! golden-digest tests hash.
+//! The event-driven kernel's clock jumps must stay exact when LLC
+//! latency is no longer uniform (per-slice routing, link contention):
+//! for every registered policy, with the NoC off and on, running a cell
+//! under [`Kernel::EventDriven`] must produce byte-identical
+//! [`SimResults`] and identical epoch telemetry to [`Kernel::Reference`].
+//! Slice-count and queue-depth sweeps stress the same claim under
+//! different mesh footprints and backpressure, and a final check proves
+//! the mesh actually changes timing.
 
 use chrome_bench::registry::{all_schemes, build_any_policy};
 use chrome_noc::NocConfig;
-use chrome_sim::{Kernel, SimConfig, System};
+use chrome_sim::{Kernel, SimConfig, SimResults, System};
 use chrome_telemetry::{EpochSeries, TelemetryConfig, TelemetrySink};
 use chrome_traces::mix;
 
-/// Run one cell with an explicit kernel and stepping worker count.
+/// Run one cell with an explicit kernel.
 fn run_cell(
     cfg: &SimConfig,
     workload: &str,
     scheme: &str,
     kernel: Kernel,
-    workers: usize,
     instructions: u64,
     warmup: u64,
-) -> (chrome_sim::SimResults, EpochSeries) {
+) -> (SimResults, EpochSeries) {
     let traces = mix::homogeneous(workload, cfg.cores, 0x0C11).expect("known workload");
     let policy = build_any_policy(scheme).expect("known scheme");
     let mut sys = System::with_policy(cfg.clone(), traces, policy);
-    sys.set_step_workers(workers);
     sys.set_telemetry(TelemetrySink::recording(TelemetryConfig::default()));
     let results = sys.run_with_kernel(instructions, warmup, kernel);
     let epochs = sys
@@ -48,40 +36,24 @@ fn run_cell(
     (results, epochs)
 }
 
-/// Assert every (kernel × worker-count) combination agrees exactly with
-/// the sequential reference run of the same cell.
+/// Assert the event-driven kernel agrees exactly with the reference
+/// kernel on one cell.
 fn assert_invariant(cfg: &SimConfig, workload: &str, scheme: &str, instructions: u64, warmup: u64) {
-    let (r_base, e_base) = run_cell(
-        cfg,
-        workload,
-        scheme,
-        Kernel::Reference,
-        1,
-        instructions,
-        warmup,
+    let run = |kernel| run_cell(cfg, workload, scheme, kernel, instructions, warmup);
+    let (r_ref, e_ref) = run(Kernel::Reference);
+    let (r_evt, e_evt) = run(Kernel::EventDriven);
+    assert_eq!(
+        r_ref, r_evt,
+        "SimResults diverged: {scheme} on {workload}, {} cores, noc={:?}",
+        cfg.cores, cfg.noc
     );
-    for kernel in [Kernel::Reference, Kernel::EventDriven] {
-        for workers in [1usize, 4, 8] {
-            if kernel == Kernel::Reference && workers == 1 {
-                continue; // that is the baseline itself
-            }
-            let (r, e) = run_cell(cfg, workload, scheme, kernel, workers, instructions, warmup);
-            assert_eq!(
-                r_base, r,
-                "SimResults diverged: {scheme} on {workload}, {} cores, \
-                 {kernel:?}, {workers} workers, noc={:?}",
-                cfg.cores, cfg.noc
-            );
-            assert_eq!(
-                e_base.records(),
-                e.records(),
-                "epoch series diverged: {scheme} on {workload}, {} cores, \
-                 {kernel:?}, {workers} workers, noc={:?}",
-                cfg.cores,
-                cfg.noc
-            );
-        }
-    }
+    assert_eq!(
+        e_ref.records(),
+        e_evt.records(),
+        "epoch series diverged: {scheme} on {workload}, {} cores, noc={:?}",
+        cfg.cores,
+        cfg.noc
+    );
 }
 
 /// A 4-slice mesh config sized for the small-test LLC.
@@ -91,55 +63,42 @@ fn noc_on(cores: usize) -> SimConfig {
     cfg
 }
 
-/// NoC off: the parallel stepper must reproduce today's sequential
-/// results bit-for-bit for every policy in the lineup.
+/// NoC off: both kernels agree for every policy in the lineup.
 #[test]
-fn workers_are_invariant_with_noc_off() {
+fn every_policy_is_kernel_invariant_with_noc_off() {
     let cfg = SimConfig::small_test(4);
-    for scheme in ["LRU", "Hawkeye", "CHROME"] {
+    for scheme in all_schemes() {
         assert_invariant(&cfg, "mcf", scheme, 6_000, 600);
     }
 }
 
-/// NoC on: routing and contention state must be insensitive to both the
-/// kernel and the worker count.
+/// NoC on: routing and contention state must be insensitive to the
+/// kernel for every policy in the lineup.
 #[test]
-fn workers_are_invariant_with_noc_on() {
-    let cfg = noc_on(4);
-    for scheme in ["LRU", "Hawkeye", "CHROME"] {
-        assert_invariant(&cfg, "mcf", scheme, 6_000, 600);
-    }
-}
-
-/// Every registered policy, NoC on, both kernels, 1 vs 8 workers — the
-/// broad sweep at a smaller budget.
-#[test]
-fn every_policy_is_worker_invariant_under_noc() {
+fn every_policy_is_kernel_invariant_with_noc_on() {
     let cfg = noc_on(4);
     for scheme in all_schemes() {
+        assert_invariant(&cfg, "mcf", scheme, 6_000, 600);
         assert_invariant(&cfg, "libquantum", scheme, 4_000, 400);
     }
 }
 
-/// More cores than a worker pool can hold at once (16 cores, 4 workers)
-/// exercises claim contention and the steal path hard; an 8×-entry mesh
-/// also makes multi-hop routes common.
+/// 16 cores on an 8×-entry mesh make multi-hop routes common.
 #[test]
-fn sixteen_cores_exceeding_workers_are_invariant() {
+fn sixteen_core_mesh_is_kernel_invariant() {
     let cfg = noc_on(16);
     assert_invariant(&cfg, "mcf", "CHROME", 3_000, 300);
 }
 
-/// Single-core degenerate case: the pool must degrade to sequential
-/// stepping (tasks <= 1) without perturbing anything.
+/// Single-core degenerate case: one core tile, four slices.
 #[test]
-fn single_core_pool_degrades_to_sequential() {
+fn single_core_mesh_is_kernel_invariant() {
     let cfg = noc_on(1);
     assert_invariant(&cfg, "libquantum", "LRU", 6_000, 600);
 }
 
 /// Slice-count sweep: 1, 2 and 8 slices change the set-to-slice map and
-/// the mesh footprint; each must stay kernel- and worker-invariant.
+/// the mesh footprint; each must stay kernel-invariant.
 #[test]
 fn slice_counts_are_invariant() {
     for slices in [1usize, 2, 8] {
@@ -175,8 +134,8 @@ fn tight_queues_are_invariant() {
 fn noc_actually_perturbs_timing() {
     let off = SimConfig::small_test(4);
     let on = noc_on(4);
-    let (r_off, _) = run_cell(&off, "mcf", "LRU", Kernel::Reference, 1, 6_000, 600);
-    let (r_on, _) = run_cell(&on, "mcf", "LRU", Kernel::Reference, 1, 6_000, 600);
+    let (r_off, _) = run_cell(&off, "mcf", "LRU", Kernel::Reference, 6_000, 600);
+    let (r_on, _) = run_cell(&on, "mcf", "LRU", Kernel::Reference, 6_000, 600);
     assert_ne!(
         r_off, r_on,
         "a default mesh must add hop latency somewhere; identical results \

@@ -23,7 +23,6 @@ fn spec(workload: &str, scheme: &str) -> CellSpec {
         trace: String::new(),
         sampling: String::new(),
         noc: String::new(),
-        workers: 0,
     }
 }
 

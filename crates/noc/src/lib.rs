@@ -1,17 +1,9 @@
-//! # chrome-noc — mesh interconnect timing and deterministic parallelism
+//! # chrome-noc — mesh interconnect timing
 //!
-//! Two self-contained pieces the simulator composes:
-//!
-//! * [`Mesh`] — a cycle-approximate 2D-mesh network-on-chip timing
-//!   model with X-Y dimension-ordered routing and bounded per-link
-//!   ingress queues, connecting core tiles to address-interleaved LLC
-//!   slice tiles ([`NocConfig`], [`slice_of_set`]).
-//! * [`DetPool`] — a deterministic spin-waiting worker pool for
-//!   stepping simulator cores in parallel *within* one simulation.
-//!   Tasks are claimed dynamically (work-stealing by atomic increment),
-//!   which is safe exactly because the simulator only offloads
-//!   commutative per-core work; everything order-sensitive stays on the
-//!   calling thread.
+//! [`Mesh`] is a cycle-approximate 2D-mesh network-on-chip timing model
+//! with X-Y dimension-ordered routing and bounded per-link ingress
+//! queues, connecting core tiles to address-interleaved LLC slice tiles
+//! ([`NocConfig`], [`slice_of_set`]).
 //!
 //! The crate deliberately depends on nothing from `chrome-sim`: it
 //! speaks in tile indices and `u64` cycle times, so the simulator owns
@@ -19,8 +11,6 @@
 
 pub mod config;
 pub mod mesh;
-pub mod pool;
 
 pub use config::NocConfig;
 pub use mesh::{slice_of_set, slice_tile, Mesh};
-pub use pool::DetPool;

@@ -3,7 +3,7 @@
 use crate::cache::PrivateCache;
 use crate::camat::{CamatEpoch, CamatTracker};
 use crate::config::SimConfig;
-use crate::core_model::{Core, IssuePlan};
+use crate::core_model::Core;
 use crate::dram::Dram;
 use crate::llc::{LlcOutcome, SharedLlc};
 use crate::mmu::Mmu;
@@ -623,10 +623,11 @@ impl MemHierarchy {
 
     // ---- Functional path for sampled-replay warmup ----
     //
-    // These mirror the timed access/fill/prefetch cascade above, driven
-    // by per-core *pseudo-clocks* instead of the real scheduler: cache
-    // contents, LLC policy state, prefetcher training, the MMU and the
-    // DRAM bank/bus model all update exactly as in timed mode, while
+    // These mirror the timed access/prefetch cascade above (fills and
+    // dirty-victim writebacks reuse its helpers), driven by per-core
+    // *pseudo-clocks* instead of the real scheduler: cache contents,
+    // LLC policy state, prefetcher training, the MMU and the DRAM
+    // bank/bus model all update exactly as in timed mode, while
     // MSHRs, C-AMAT accounting and latency spans are never touched. The
     // pseudo-clock (see [`System::functional_warm_to`]) advances at the
     // CPI the last detailed phase measured, so DRAM traffic arrives at
@@ -634,54 +635,6 @@ impl MemHierarchy {
     // (`queue_delay > PREFETCH_SHED_CYCLES`) fires with the same
     // burstiness as in the full run — shed-sensitive prefetcher and
     // LLC warmup was by far the largest sampled-replay error source.
-
-    /// Functional `writeback_to_llc`: dirty victims that miss the LLC
-    /// become DRAM writes at the pseudo-clock, as in timed mode.
-    fn functional_writeback_llc(&mut self, line: LineAddr, cycle: u64) {
-        if !self.llc.writeback(line) {
-            self.dram.access(line, cycle, true);
-        }
-    }
-
-    fn functional_writeback_l2(&mut self, core: usize, line: LineAddr, cycle: u64) {
-        if self.l2[core].mark_dirty(line) {
-            return;
-        }
-        if let Some(ev) = self.l2[core].fill(line, true, false, cycle) {
-            if ev.dirty {
-                self.functional_writeback_llc(ev.line, cycle);
-            }
-        }
-    }
-
-    fn functional_fill_l2(&mut self, core: usize, line: LineAddr, is_prefetch: bool, cycle: u64) {
-        if self.l2[core].probe(line).is_some() {
-            return;
-        }
-        if let Some(ev) = self.l2[core].fill(line, false, is_prefetch, cycle) {
-            if ev.dirty {
-                self.functional_writeback_llc(ev.line, cycle);
-            }
-        }
-    }
-
-    fn functional_fill_l1(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        dirty: bool,
-        is_prefetch: bool,
-        cycle: u64,
-    ) {
-        if self.l1d[core].probe(line).is_some() {
-            return;
-        }
-        if let Some(ev) = self.l1d[core].fill(line, dirty, is_prefetch, cycle) {
-            if ev.dirty {
-                self.functional_writeback_l2(core, ev.line, cycle);
-            }
-        }
-    }
 
     /// LLC leg of the functional path: policy callbacks, statistics,
     /// eager fills and the DRAM traffic beneath a miss run exactly as
@@ -760,7 +713,7 @@ impl MemHierarchy {
             self.functional_trigger_l2(core, pc, line, false, cycle);
         }
         let (done, _) = self.functional_access_llc(core, pc, line, true, cycle);
-        self.functional_fill_l2(core, line, true, done);
+        self.fill_l2(core, line, true, done);
         Some(done)
     }
 
@@ -773,7 +726,7 @@ impl MemHierarchy {
                 self.l1d[core].stats.prefetch_accesses += 1;
                 self.l1d[core].stats.prefetch_misses += 1;
                 if let Some(ready) = self.functional_prefetch_l2(core, pc, req.line, true, cycle) {
-                    self.functional_fill_l1(core, req.line, false, true, ready);
+                    self.fill_l1(core, req.line, false, true, ready);
                 }
             }
             FillLevel::L2 => {
@@ -863,11 +816,11 @@ impl MemHierarchy {
                 self.l2[core].stats.demand_misses += 1;
                 let r =
                     self.functional_access_llc(core, rec.pc, line, false, t_l2 + self.l2_latency);
-                self.functional_fill_l2(core, line, false, r.0);
+                self.fill_l2(core, line, false, r.0);
                 r
             }
         };
-        self.functional_fill_l1(core, line, is_write, false, done);
+        self.fill_l1(core, line, is_write, false, done);
         (done, dram)
     }
 
@@ -964,14 +917,6 @@ pub struct System {
     /// Reused buffer for per-core epoch samples, so epoch boundaries do
     /// not allocate.
     epoch_scratch: Vec<CamatEpoch>,
-    /// Threads stepping cores within this simulation (1 = the classic
-    /// sequential kernels). See [`System::set_step_workers`].
-    step_workers: usize,
-    /// Persistent worker pool backing the parallel decode phase;
-    /// present exactly when `step_workers > 1`.
-    pool: Option<chrome_noc::DetPool>,
-    /// Per-core decoded issue plans for the parallel kernels.
-    plans: Vec<IssuePlan>,
     /// Cores the last stepped event-kernel advance stepped, in rotation
     /// order (see [`System::collect_due`]).
     due: Vec<usize>,
@@ -1028,40 +973,10 @@ impl System {
             epoch_seq: 0,
             events: BinaryHeap::with_capacity(n),
             epoch_scratch: Vec::with_capacity(n),
-            step_workers: 1,
-            pool: None,
-            plans: Vec::new(),
             due: Vec::with_capacity(n),
         };
         sys.reset_events(0);
         sys
-    }
-
-    /// Step cores with `workers` threads inside this one simulation
-    /// (1 = sequential, the default). The parallel kernels split each
-    /// stepped cycle into a decode phase (retire + issue-plan, all
-    /// core-private state, fanned across a work-stealing pool) and an
-    /// apply phase (every shared-hierarchy effect, replayed
-    /// sequentially in the exact rotation order of the sequential
-    /// kernels), so results are byte-identical at any worker count —
-    /// the `noc_equiv` differential suite in `chrome-bench` asserts it.
-    pub fn set_step_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        self.step_workers = workers;
-        if workers > 1 {
-            self.pool = Some(chrome_noc::DetPool::new(workers));
-            self.plans = (0..self.cores.len())
-                .map(|_| IssuePlan::default())
-                .collect();
-        } else {
-            self.pool = None;
-            self.plans.clear();
-        }
-    }
-
-    /// Configured intra-simulation stepping threads.
-    pub fn step_workers(&self) -> usize {
-        self.step_workers
     }
 
     /// Attach a telemetry sink; it is forwarded to the LLC and the
@@ -1120,9 +1035,6 @@ impl System {
     /// issues, unconditionally. Ground truth for the event-driven
     /// scheduler. Always returns `true` (a cycle was stepped).
     fn step_reference(&mut self) -> bool {
-        if self.pool.is_some() {
-            return self.step_reference_parallel();
-        }
         let cycle = self.cycle;
         let n = self.cores.len();
         let start = cycle as usize % n;
@@ -1134,72 +1046,6 @@ impl System {
             let core = &mut self.cores[i];
             core.retire(cycle);
             core.issue(cycle, |rec, t| hier.demand_access(i, rec, t));
-        }
-        self.cycle += 1;
-        if self.cycle >= self.next_epoch {
-            self.end_epoch();
-        }
-        true
-    }
-
-    /// Phase A of the parallel kernels: retire and decode an issue plan
-    /// for each listed core, fanned across the pool. Sound because both
-    /// calls touch only core-private state (ROB head, trace cursor,
-    /// front-end queue) — instruction *selection* never depends on what
-    /// other cores do this cycle, only completion *times* do, and those
-    /// are assigned later in phase B. `due` picks between the full core
-    /// set (reference kernel) and the rotation-ordered due list (event
-    /// kernel).
-    fn plan_phase(&mut self, cycle: u64, due: bool) {
-        struct Ptr<T>(*mut T);
-        // SAFETY: the pool claims each task index exactly once per
-        // round, and task `i` dereferences only offset `i` (or the
-        // distinct due entry `due[k]`), so all `&mut` are disjoint.
-        unsafe impl<T> Sync for Ptr<T> {}
-        let pool = self.pool.as_mut().expect("parallel phase without a pool");
-        let n = self.cores.len();
-        let cores = Ptr(self.cores.as_mut_ptr());
-        let plans = Ptr(self.plans.as_mut_ptr());
-        // capture the Sync wrappers, not their raw-pointer fields
-        let (cores, plans) = (&cores, &plans);
-        if due {
-            let idx = &self.due;
-            pool.run(idx.len(), &|k| {
-                let i = idx[k];
-                let core = unsafe { &mut *cores.0.add(i) };
-                let plan = unsafe { &mut *plans.0.add(i) };
-                core.retire(cycle);
-                core.plan_issue(plan);
-            });
-        } else {
-            pool.run(n, &|i| {
-                let core = unsafe { &mut *cores.0.add(i) };
-                let plan = unsafe { &mut *plans.0.add(i) };
-                core.retire(cycle);
-                core.plan_issue(plan);
-            });
-        }
-    }
-
-    /// Reference kernel, parallel flavor: phase A decodes every core's
-    /// plan across the pool, phase B applies the plans sequentially in
-    /// the exact rotation order of [`System::step_reference`], so every
-    /// shared side effect (LLC policy updates, MSHR and DRAM traffic,
-    /// MMU allocation, telemetry) happens in the identical order and
-    /// the results are byte-identical to the sequential kernel.
-    fn step_reference_parallel(&mut self) -> bool {
-        let cycle = self.cycle;
-        self.plan_phase(cycle, false);
-        let n = self.cores.len();
-        let start = cycle as usize % n;
-        let hier = &mut self.hier;
-        for k in 0..n {
-            let i = start + k;
-            let i = if i >= n { i - n } else { i };
-            let core = &mut self.cores[i];
-            core.apply_issue(cycle, &self.plans[i], |rec, t| {
-                hier.demand_access(i, rec, t)
-            });
         }
         self.cycle += 1;
         if self.cycle >= self.next_epoch {
@@ -1240,8 +1086,7 @@ impl System {
     /// due, jump the clock straight to `min(next event, next epoch)`. A
     /// stepped cycle costs O(due · log N), not O(N): on 64 `mcf` cores
     /// behind a 16-slice mesh only about 1.1 cores are due per stepped
-    /// cycle. Under a worker pool the due cores' plans are decoded in
-    /// parallel first and applied here in the same order.
+    /// cycle.
     ///
     /// Skipped work is provably a no-op — a core with `next_event > c`
     /// has a full ROB whose head completes after `c`, so both `retire`
@@ -1265,20 +1110,11 @@ impl System {
             return false;
         }
         self.collect_due(cycle);
-        let parallel = self.pool.is_some();
-        if parallel {
-            self.plan_phase(cycle, true);
-        }
         let hier = &mut self.hier;
         for &i in &self.due {
             let core = &mut self.cores[i];
-            let access = |rec: &TraceRecord, t| hier.demand_access(i, rec, t);
-            if parallel {
-                core.apply_issue(cycle, &self.plans[i], access);
-            } else {
-                core.retire(cycle);
-                core.issue(cycle, access);
-            }
+            core.retire(cycle);
+            core.issue(cycle, |rec, t| hier.demand_access(i, rec, t));
             let next = core.next_activity(cycle + 1);
             self.events.push(Reverse((next, i as u32)));
         }

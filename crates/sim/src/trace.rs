@@ -12,11 +12,9 @@ use crate::types::{mix64, TraceRecord};
 /// pattern is exhausted (matching the championship-simulator practice of
 /// replaying traces until every core reaches its instruction quota).
 ///
-/// Sources must be [`Send`]: the parallel stepping kernel decodes each
-/// core's issue plan — including its trace reads — on pool worker
-/// threads. Only one thread ever touches a given source at a time (the
-/// pool claims each core exactly once per round), so `Sync` is not
-/// required.
+/// Sources must be [`Send`], so a whole [`System`](crate::System)
+/// stays `Send` and can move to whichever thread runs it. Only one
+/// thread ever touches a given source, so `Sync` is not required.
 pub trait TraceSource: Send {
     /// Produce the next record.
     fn next_record(&mut self) -> TraceRecord;
