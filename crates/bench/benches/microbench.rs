@@ -26,6 +26,12 @@ fn bench_qtable() {
         black_box(table.q_state(&state, (i % 7) as usize))
     });
     let mut i = 0u64;
+    bench("qtable_q_all", || {
+        i += 1;
+        let state = [mix64(i), i % 4096];
+        black_box(table.q_all(&state))
+    });
+    let mut i = 0u64;
     bench("qtable_update", || {
         i += 1;
         let state = [mix64(i), i % 4096];

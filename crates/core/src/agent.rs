@@ -192,19 +192,17 @@ impl DecisionObserver for SinkObserver<'_> {
         }
     }
 
-    fn wants_q_delta(&self) -> bool {
-        cfg!(feature = "telemetry") && self.sink.is_enabled()
-    }
-
     fn q_update(&mut self, delta: f64, action: usize) {
-        self.sink.emit(
-            self.cycle,
-            self.core,
-            EventKind::QUpdate {
-                delta,
-                action: action as u8,
-            },
-        );
+        if cfg!(feature = "telemetry") {
+            self.sink.emit(
+                self.cycle,
+                self.core,
+                EventKind::QUpdate {
+                    delta,
+                    action: action as u8,
+                },
+            );
+        }
     }
 
     fn wants_decisions(&self) -> bool {

@@ -138,8 +138,8 @@ pub struct TrainOutcome {
     pub unmatched: Option<f64>,
     /// Action whose Q-value moved.
     pub action: usize,
-    /// Pre-update TD delta (`target − Q`), computed only on request.
-    pub delta: Option<f64>,
+    /// Pre-update TD delta (`target − Q`).
+    pub delta: f64,
 }
 
 /// The generic SARSA engine.
@@ -192,19 +192,23 @@ impl RlEngine {
         self.qtable.q_state(state, action)
     }
 
-    /// ε-greedy action selection among `legal` actions. Exact Q ties —
-    /// common under optimistic initialization — break by the fixed
-    /// defensive [`TIE_RANK`] preference.
-    pub fn select(&mut self, state: &[u64], legal: &[usize]) -> usize {
+    /// ε-greedy action selection among `legal` actions, returning the
+    /// chosen action and its Q-value. Exact Q ties — common under
+    /// optimistic initialization — break by the fixed defensive
+    /// [`TIE_RANK`] preference. A greedy choice reads the state's whole
+    /// Q vector once ([`QTable::q_all`]), after the ε draw.
+    pub fn select(&mut self, state: &[u64], legal: &[usize]) -> (usize, f64) {
         if self.rng.gen_f64() < self.cfg.epsilon {
             self.stats.explorations += 1;
-            return legal[self.rng.gen_range(0..legal.len())];
+            let a = legal[self.rng.gen_range(0..legal.len())];
+            return (a, self.qtable.q_state(state, a));
         }
+        let q = self.qtable.q_all(state);
         let mut best = [0usize; 8];
         let mut n = 0;
         let mut best_q = f64::NEG_INFINITY;
         for &a in legal {
-            let q = self.qtable.q_state(state, a);
+            let q = q[a];
             if q > best_q + 1e-9 {
                 best_q = q;
                 best[0] = a;
@@ -214,13 +218,15 @@ impl RlEngine {
                 n += 1;
             }
         }
-        if n == 1 {
-            return best[0];
-        }
-        *best[..n]
-            .iter()
-            .min_by_key(|&&a| TIE_RANK[a])
-            .expect("nonempty tie set")
+        let a = if n == 1 {
+            best[0]
+        } else {
+            *best[..n]
+                .iter()
+                .min_by_key(|&&a| TIE_RANK[a])
+                .expect("nonempty tie set")
+        };
+        (a, q[a])
     }
 
     /// Reward-match step (Algorithm 1, lines 3–8): if `key` sits
@@ -238,9 +244,7 @@ impl RlEngine {
     /// Record the executed action in FIFO `si` and, on overflow,
     /// finalize the evicted entry's reward and run the SARSA update
     /// (Algorithm 1, lines 21–38). `unmatched_reward` supplies the
-    /// dead-block reward when the evicted entry was never re-requested;
-    /// `want_delta` asks for the pre-update TD delta (telemetry only —
-    /// it costs an extra Q lookup).
+    /// dead-block reward when the evicted entry was never re-requested.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -252,7 +256,6 @@ impl RlEngine {
         key: u64,
         lane: usize,
         unmatched_reward: impl FnOnce(&EqEntry) -> f64,
-        want_delta: bool,
     ) -> Option<TrainOutcome> {
         let entry = EqEntry {
             id,
@@ -280,16 +283,15 @@ impl RlEngine {
             }
             None => reward,
         };
-        let delta =
-            want_delta.then(|| target - self.qtable.q_state(&evicted.state, evicted.action));
-        self.qtable
+        let q_before = self
+            .qtable
             .update(&evicted.state, evicted.action, target, self.cfg.alpha);
         self.stats.q_updates += 1;
         Some(TrainOutcome {
             id: evicted.id,
             unmatched,
             action: evicted.action,
-            delta,
+            delta: target - q_before,
         })
     }
 }
@@ -317,8 +319,8 @@ mod tests {
     fn untrained_miss_tie_breaks_to_neutral_insert() {
         let mut e = engine();
         // all Q equal at init → TIE_RANK picks insert-at-EPV1 (action 2)
-        assert_eq!(e.select(&[1, 2], &MISS_ACTIONS), 2);
-        assert_eq!(e.select(&[9, 9], &HIT_ACTIONS), 4);
+        assert_eq!(e.select(&[1, 2], &MISS_ACTIONS).0, 2);
+        assert_eq!(e.select(&[9, 9], &HIT_ACTIONS).0, 4);
     }
 
     #[test]
@@ -326,14 +328,14 @@ mod tests {
         let mut e = engine();
         let state = [77u64, 88u64];
         for _ in 0..300 {
-            e.record(0, 0, &state, 0, false, 1, 0, |_| 25.0, false);
+            e.record(0, 0, &state, 0, false, 1, 0, |_| 25.0);
         }
         // drive bypass far above the others; it must win despite having
         // the worst tie rank
         for _ in 0..200 {
             e.qtable.update(&state, ACTION_BYPASS, 30.0, 0.1);
         }
-        assert_eq!(e.select(&state, &MISS_ACTIONS), ACTION_BYPASS);
+        assert_eq!(e.select(&state, &MISS_ACTIONS).0, ACTION_BYPASS);
     }
 
     #[test]
@@ -341,12 +343,10 @@ mod tests {
         let mut e = engine();
         let state = [3u64, 4u64];
         for i in 0..e.config().eq_fifo_len as u64 {
-            assert!(e
-                .record(0, i, &state, 2, false, i, 0, |_| 0.0, false)
-                .is_none());
+            assert!(e.record(0, i, &state, 2, false, i, 0, |_| 0.0).is_none());
         }
         let out = e
-            .record(0, 999, &state, 2, false, 999, 0, |_| -10.0, false)
+            .record(0, 999, &state, 2, false, 999, 0, |_| -10.0)
             .expect("overflow");
         assert_eq!(out.unmatched, Some(-10.0));
         assert_eq!(out.action, 2);
@@ -358,11 +358,11 @@ mod tests {
     fn matched_entry_keeps_its_reward_at_overflow() {
         let mut e = engine();
         let state = [5u64, 6u64];
-        e.record(0, 7, &state, 1, false, 42, 0, |_| 0.0, false);
+        e.record(0, 7, &state, 1, false, 42, 0, |_| 0.0);
         assert_eq!(e.try_match(0, 42, 20.0), Some(7));
         assert!(e.try_match(0, 42, 20.0).is_none(), "already rewarded");
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, 100 + i, &state, 1, false, 1000 + i, 0, |_| -7.0, false);
+            e.record(0, 100 + i, &state, 1, false, 1000 + i, 0, |_| -7.0);
         }
         // the matched entry was evicted first; its unmatched slot is None
         assert_eq!(e.stats.matched_rewards, 1);
@@ -374,18 +374,17 @@ mod tests {
         let mut e = engine();
         let state = [10u64, 11u64];
         for i in 0..e.config().eq_fifo_len as u64 {
-            e.record(0, i, &state, 3, false, i, 0, |_| 0.0, false);
+            e.record(0, i, &state, 3, false, i, 0, |_| 0.0);
         }
         let q_before = e.q(&state, 3);
         let out = e
-            .record(0, 500, &state, 3, false, 500, 0, |_| 12.0, true)
+            .record(0, 500, &state, 3, false, 500, 0, |_| 12.0)
             .expect("overflow");
-        let delta = out.delta.expect("requested");
-        // target = 12 + γ·q(next); delta = target − q_before
-        let expected = 12.0 + e.config().gamma * e.q(&state, 3) - q_before;
-        // the post-update q(next) differs slightly from the one used at
-        // record time; just sanity-check magnitude and sign coherence
-        assert!((delta - expected).abs() < 1.0, "{delta} vs {expected}");
+        // every queued entry is (state, 3), so the next entry's Q at
+        // record time is q_before too: target = 12 + γ·q_before, and
+        // delta = target − q_before exactly
+        let target = 12.0 + e.config().gamma * q_before;
+        assert_eq!(out.delta.to_bits(), (target - q_before).to_bits());
     }
 
     #[test]
@@ -395,7 +394,7 @@ mod tests {
             ..EngineConfig::from(&ChromeConfig::default())
         });
         for _ in 0..50 {
-            let a = e.select(&[1, 2], &MISS_ACTIONS);
+            let (a, _) = e.select(&[1, 2], &MISS_ACTIONS);
             assert!(MISS_ACTIONS.contains(&a));
         }
         assert_eq!(e.stats.explorations, 50);

@@ -60,8 +60,8 @@ pub trait Environment {
 
 /// Everything [`Agent::on_access`] knew at decision time, offered to
 /// observers that asked for full decision snapshots (the audit trail).
-/// Building one costs `features × actions` pure Q reads, so it is
-/// gated behind [`DecisionObserver::wants_decisions`].
+/// Building one costs a per-feature Q-row read, so it is gated behind
+/// [`DecisionObserver::wants_decisions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionSnapshot<'a> {
     /// Monotonic decision id (the EQ linkage id); reward callbacks
@@ -123,13 +123,8 @@ pub trait DecisionObserver {
     /// A dead-block reward was assigned to decision `id` at EQ
     /// eviction.
     fn reward_unmatched(&mut self, _id: u64, _reward: f64) {}
-    /// True to have the training step compute the pre-update TD delta
-    /// (costs an extra Q lookup; off by default).
-    fn wants_q_delta(&self) -> bool {
-        false
-    }
-    /// A SARSA update moved `action`'s Q-value by `delta` (only called
-    /// when [`DecisionObserver::wants_q_delta`] returned true).
+    /// A SARSA update trained `action` on a pre-update TD delta of
+    /// `delta` (`target − Q`).
     fn q_update(&mut self, _delta: f64, _action: usize) {}
     /// True to receive a full [`DecisionSnapshot`] per access (costs
     /// the per-feature Q reads; off by default).
@@ -148,11 +143,14 @@ pub struct NoObserver;
 impl DecisionObserver for NoObserver {}
 
 /// What one access decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The selected action (paper encoding: 0 bypass, 1–3 insert at
     /// EPV a−1, 4–6 re-assign EPV a−4).
     pub action: usize,
+    /// Q-value of the selected action when it was selected (before
+    /// this access's own training step).
+    pub q: f64,
     /// True when the access landed on a sampled set/bucket and was
     /// recorded in the EQ.
     pub sampled: bool,
@@ -206,15 +204,13 @@ impl<E: Environment> Agent<E> {
         let (buf, n) = self.env.state(access, hit);
         let state = &buf[..n];
         let explorations_before = self.engine.stats.explorations;
-        let action = self.engine.select(state, E::legal_actions(hit));
+        let (action, q_action) = self.engine.select(state, E::legal_actions(hit));
         if obs.wants_decisions() {
             // pure Q reads: no RNG draw, no table write, so snapshotting
             // cannot perturb byte-equivalence
             let mut q = [[0.0; NUM_ACTIONS]; 2];
             for (f, row) in q.iter_mut().enumerate().take(n) {
-                for (a, slot) in row.iter_mut().enumerate() {
-                    *slot = self.engine.qtable().q_feature(f, state[f], a);
-                }
+                *row = self.engine.qtable().q_feature_all(f, state[f]);
             }
             obs.decision(&DecisionSnapshot {
                 id,
@@ -239,15 +235,12 @@ impl<E: Environment> Agent<E> {
                 env.key(access),
                 env.lane(access),
                 |entry| env.unmatched_reward(ctx, entry),
-                obs.wants_q_delta(),
             );
             if let Some(out) = outcome {
                 if let Some(reward) = out.unmatched {
                     obs.reward_unmatched(out.id, reward);
                 }
-                if let Some(delta) = out.delta {
-                    obs.q_update(delta, out.action);
-                }
+                obs.q_update(out.delta, out.action);
             }
         }
         if !hit && action == ACTION_BYPASS {
@@ -255,6 +248,7 @@ impl<E: Environment> Agent<E> {
         }
         Decision {
             action,
+            q: q_action,
             sampled: si.is_some(),
             state: buf,
             features: n,
@@ -320,9 +314,6 @@ mod tests {
         fn reward_unmatched(&mut self, id: u64, _: f64) {
             self.unmatched += 1;
             self.rewarded_ids.push(id);
-        }
-        fn wants_q_delta(&self) -> bool {
-            true
         }
         fn q_update(&mut self, _: f64, _: usize) {
             self.updates += 1;
@@ -407,17 +398,8 @@ mod tests {
         let state = ([7u64, 0u64], 2);
         for action in [1, 2, 3] {
             for _ in 0..400 {
-                a.engine.record(
-                    0,
-                    0,
-                    &state.0[..state.1],
-                    action,
-                    false,
-                    1,
-                    0,
-                    |_| -20.0,
-                    false,
-                );
+                a.engine
+                    .record(0, 0, &state.0[..state.1], action, false, 1, 0, |_| -20.0);
             }
         }
         let before = a.engine.stats.bypasses;

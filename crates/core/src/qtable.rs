@@ -19,11 +19,17 @@ const SCALE: f64 = 64.0;
 /// Total number of distinct actions (4 miss actions + 3 hit actions).
 pub const NUM_ACTIONS: usize = 7;
 
+/// Most sub-tables a feature may be split into (the paper uses 4).
+pub const MAX_SUB_TABLES: usize = 16;
+
 /// The Q-table.
 #[derive(Debug, Clone)]
 pub struct QTable {
-    /// `[feature][sub_table][row * NUM_ACTIONS + action]` partials.
-    partials: Vec<Vec<Vec<i16>>>,
+    /// Partials laid out `[feature][sub_table][row][action]`: one hash
+    /// row holds the partial values of all actions, so a state's Q
+    /// vector costs one row hash per (feature, sub-table).
+    partials: Vec<i16>,
+    features: usize,
     rows: usize,
     sub_tables: usize,
 }
@@ -38,16 +44,19 @@ impl QTable {
     ///
     /// # Panics
     ///
-    /// Panics on zero features, sub-tables or entries.
+    /// Panics on zero features, sub-tables or entries, or on more than
+    /// [`MAX_SUB_TABLES`] sub-tables.
     pub fn new(features: usize, sub_tables: usize, entries: usize, q_init: f64) -> Self {
         assert!(
             features > 0 && sub_tables > 0 && entries > 0,
             "degenerate Q-table"
         );
+        assert!(sub_tables <= MAX_SUB_TABLES, "too many sub-tables");
         let rows = (entries / NUM_ACTIONS).max(1);
         let init_partial = (q_init * SCALE / sub_tables as f64).round() as i16;
         QTable {
-            partials: vec![vec![vec![init_partial; rows * NUM_ACTIONS]; sub_tables]; features],
+            partials: vec![init_partial; features * sub_tables * rows * NUM_ACTIONS],
+            features,
             rows,
             sub_tables,
         }
@@ -55,15 +64,17 @@ impl QTable {
 
     /// Number of features.
     pub fn num_features(&self) -> usize {
-        self.partials.len()
+        self.features
     }
 
+    /// Offset of the row `feature_value` hashes to in `feature`'s
+    /// sub-table `sub`; the row's action `a` partial sits at `+ a`.
     #[inline]
-    fn slot(&self, sub: usize, feature_value: u64, action: usize) -> usize {
+    fn row(&self, feature: usize, sub: usize, feature_value: u64) -> usize {
         // each sub-table hashes the feature with a different constant
         let hashed = mix64(feature_value ^ (0x9E37_79B9u64 << sub) ^ sub as u64);
         let idx = (hashed % self.rows as u64) as usize;
-        idx * NUM_ACTIONS + action
+        ((feature * self.sub_tables + sub) * self.rows + idx) * NUM_ACTIONS
     }
 
     /// Q-value of one feature-action pair: sum of its partials.
@@ -71,9 +82,23 @@ impl QTable {
         debug_assert!(action < NUM_ACTIONS);
         let mut sum = 0i32;
         for sub in 0..self.sub_tables {
-            sum += self.partials[feature][sub][self.slot(sub, value, action)] as i32;
+            sum += self.partials[self.row(feature, sub, value) + action] as i32;
         }
         sum as f64 / SCALE
+    }
+
+    /// Q-values of every action for one feature value: each sub-table
+    /// row is hashed once and its action partials summed side by side.
+    /// Entry `a` equals [`QTable::q_feature`]`(feature, value, a)`.
+    pub fn q_feature_all(&self, feature: usize, value: u64) -> [f64; NUM_ACTIONS] {
+        let mut sum = [0i32; NUM_ACTIONS];
+        for sub in 0..self.sub_tables {
+            let r = self.row(feature, sub, value);
+            for (s, &p) in sum.iter_mut().zip(&self.partials[r..r + NUM_ACTIONS]) {
+                *s += p as i32;
+            }
+        }
+        sum.map(|s| s as f64 / SCALE)
     }
 
     /// Q-value of a state-action pair: max over the state's features
@@ -91,27 +116,46 @@ impl QTable {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// The legal action with the highest Q-value for `state`
-    /// (ties break toward the lower action index).
-    pub fn best_action(&self, state: &[u64], legal: &[usize]) -> usize {
-        debug_assert!(!legal.is_empty());
-        let mut best = legal[0];
-        let mut best_q = f64::NEG_INFINITY;
-        for &a in legal {
-            let q = self.q_state(state, a);
-            if q > best_q {
-                best_q = q;
-                best = a;
+    /// Q-values of every action for `state`, from one row hash per
+    /// (feature, sub-table). Entry `a` is bit-identical to
+    /// [`QTable::q_state`]`(state, a)`: the same integer sums, the same
+    /// feature order of the max.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state.len()` differs from the feature count.
+    pub fn q_all(&self, state: &[u64]) -> [f64; NUM_ACTIONS] {
+        assert_eq!(state.len(), self.num_features(), "state arity mismatch");
+        let mut q = [f64::NEG_INFINITY; NUM_ACTIONS];
+        for (f, &v) in state.iter().enumerate() {
+            for (q, q_f) in q.iter_mut().zip(self.q_feature_all(f, v)) {
+                *q = q.max(q_f);
             }
         }
-        best
+        q
     }
 
     /// SARSA update: move every feature's Q toward
     /// `reward + γ·q_next`, each by its own TD error scaled by α.
-    pub fn update(&mut self, state: &[u64], action: usize, target: f64, alpha: f64) {
+    /// Returns the pre-update `Q(state, action)`.
+    ///
+    /// Each feature's sub-table rows are hashed once, read for that
+    /// feature's Q and then written. Features own disjoint regions of
+    /// the table, so writing feature f cannot move a later feature's
+    /// pre-update sum: the returned max is exactly the `q_state` read
+    /// before the call.
+    pub fn update(&mut self, state: &[u64], action: usize, target: f64, alpha: f64) -> f64 {
+        let mut q_before = f64::NEG_INFINITY;
+        let mut slots = [0usize; MAX_SUB_TABLES];
+        let slots = &mut slots[..self.sub_tables];
         for (f, &v) in state.iter().enumerate() {
-            let q_f = self.q_feature(f, v, action);
+            let mut sum = 0i32;
+            for (sub, slot) in slots.iter_mut().enumerate() {
+                *slot = self.row(f, sub, v) + action;
+                sum += self.partials[*slot] as i32;
+            }
+            let q_f = sum as f64 / SCALE;
+            q_before = q_before.max(q_f);
             let td = alpha * (target - q_f);
             // distribute the TD step across the sub-tables so the sum
             // moves by `td`
@@ -126,23 +170,22 @@ impl QTable {
                     0
                 };
                 if nudge != 0 {
-                    let slot = self.slot(0, v, action);
-                    let p = &mut self.partials[f][0][slot];
+                    let p = &mut self.partials[slots[0]];
                     *p = p.saturating_add(nudge);
                 }
                 continue;
             }
-            for sub in 0..self.sub_tables {
-                let slot = self.slot(sub, v, action);
-                let p = &mut self.partials[f][sub][slot];
+            for &slot in slots.iter() {
+                let p = &mut self.partials[slot];
                 *p = (*p as i32 + step).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
             }
         }
+        q_before
     }
 
     /// Storage in bits (for the Table III accounting).
     pub fn storage_bits(&self) -> u64 {
-        (self.num_features() * self.sub_tables * self.rows * NUM_ACTIONS * 16) as u64
+        (self.partials.len() * 16) as u64
     }
 
     /// Mean magnitude of the table's Q mass, in Q units: the average
@@ -151,21 +194,8 @@ impl QTable {
     /// values cannot be enumerated; this flat-array proxy still tracks
     /// how far training has moved the table from initialization.
     pub fn mean_abs_q(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for feature in &self.partials {
-            for sub in feature {
-                for &p in sub {
-                    sum += p.unsigned_abs() as u64;
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 * self.sub_tables as f64 / count as f64 / SCALE
-        }
+        let sum: u64 = self.partials.iter().map(|p| p.unsigned_abs() as u64).sum();
+        sum as f64 * self.sub_tables as f64 / self.partials.len() as f64 / SCALE
     }
 }
 
@@ -213,18 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn best_action_respects_legality() {
-        let mut t = table();
-        let state = [1u64, 2u64];
-        for _ in 0..300 {
-            t.update(&state, 5, 30.0, 0.1);
-        }
-        // action 5 is best overall, but only miss actions 0..=3 are legal
-        assert_eq!(t.best_action(&state, &[0, 1, 2, 3]), 0);
-        assert_eq!(t.best_action(&state, &[4, 5, 6]), 5);
-    }
-
-    #[test]
     fn updates_do_not_leak_across_actions() {
         let mut t = table();
         let state = [11u64, 22u64];
@@ -264,6 +282,12 @@ mod tests {
         let bits = t.storage_bits();
         let kb = bits as f64 / 8.0 / 1024.0;
         assert!((kb - 32.0).abs() < 0.5, "Q-table = {kb} KB");
+    }
+
+    #[test]
+    #[should_panic(expected = "too many sub-tables")]
+    fn sub_table_count_is_bounded() {
+        let _ = QTable::new(2, MAX_SUB_TABLES + 1, 2048, 1.0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use chrome_core::eq::{EqEntry, EqFifo, EqState};
 use chrome_core::qtable::{QTable, NUM_ACTIONS};
+use chrome_core::{Agent, ChromeConfig, EngineConfig, Environment, NoObserver, RlEngine};
 use chrome_sim::rng::SmallRng;
 
 const CASES: usize = 64;
@@ -62,24 +63,170 @@ fn qtable_actions_isolated() {
     }
 }
 
-/// best_action always returns a legal action.
+/// A `features` × `subs` table with a random row count and initial
+/// value.
+fn random_table(rng: &mut SmallRng, features: usize, subs: usize) -> QTable {
+    // few rows, so distinct states collide in some sub-tables
+    let entries = rng.gen_range(NUM_ACTIONS..300);
+    QTable::new(features, subs, entries, rng.gen_f64() * 40.0 - 20.0)
+}
+
+/// A random update: small and large TD steps (the one-table nudge and
+/// the saturating clamp both run), on a small state pool.
+fn random_update(rng: &mut SmallRng, t: &mut QTable, pool: &[[u64; 2]], features: usize) {
+    let state = &pool[rng.gen_range(0..pool.len())][..features];
+    let action = rng.gen_range(0..NUM_ACTIONS);
+    let target = rng.gen_f64() * 2000.0 - 1000.0;
+    let alpha = [0.0001, 0.05, 0.5, 1.0][rng.gen_range(0usize..4)];
+    let before = t.q_state(state, action);
+    let returned = t.update(state, action, target, alpha);
+    assert_eq!(
+        returned.to_bits(),
+        before.to_bits(),
+        "update must return the pre-update Q"
+    );
+}
+
+/// `q_all` reads every action from one row per (feature, sub-table) and
+/// agrees with the per-action `q_state` bit for bit, on random tables
+/// after random update histories.
 #[test]
-fn best_action_is_legal() {
+fn q_all_matches_q_state_bit_for_bit() {
     let mut rng = SmallRng::seed_from_u64(0xC02E_0003);
-    for case in 0..CASES {
-        let f1 = rng.next_u64();
-        let legal_mask = rng.gen_range(1u64..127) as u8;
-        let t = QTable::new(1, 4, 2048, 1.0);
-        let legal: Vec<usize> = (0..NUM_ACTIONS)
-            .filter(|&a| legal_mask & (1 << a) != 0)
-            .collect();
-        assert!(!legal.is_empty());
-        let chosen = t.best_action(&[f1], &legal);
-        assert!(
-            legal.contains(&chosen),
-            "case {case}: illegal action {chosen}"
-        );
+    for (features, subs) in [(2, 4), (2, 2), (1, 4)] {
+        for case in 0..CASES {
+            let mut t = random_table(&mut rng, features, subs);
+            let pool: Vec<[u64; 2]> = (0..8)
+                .map(|_| [rng.next_u64(), rng.gen_range(0u64..64)])
+                .collect();
+            for step in 0..200 {
+                random_update(&mut rng, &mut t, &pool, features);
+                if step % 20 != 0 {
+                    continue;
+                }
+                for full in pool.iter().chain([[rng.next_u64(), rng.next_u64()]].iter()) {
+                    let state = &full[..features];
+                    let all = t.q_all(state);
+                    for (a, q) in all.iter().enumerate() {
+                        assert_eq!(
+                            q.to_bits(),
+                            t.q_state(state, a).to_bits(),
+                            "{features}x{subs} case {case} step {step} action {a}"
+                        );
+                    }
+                    for (f, &v) in state.iter().enumerate() {
+                        let row = t.q_feature_all(f, v);
+                        for (a, q) in row.iter().enumerate() {
+                            assert_eq!(q.to_bits(), t.q_feature(f, v, a).to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
+}
+
+/// `RlEngine::select` always returns a legal action, together with that
+/// action's current Q-value, greedy or exploring.
+#[test]
+fn select_returns_a_legal_action_and_its_q() {
+    let mut rng = SmallRng::seed_from_u64(0xC02E_0006);
+    for case in 0..CASES {
+        let mut e = RlEngine::new(EngineConfig {
+            epsilon: [0.0, 0.1, 1.0][case % 3],
+            eq_fifo_len: 2,
+            seed: rng.next_u64(),
+            ..EngineConfig::from(&ChromeConfig::default())
+        });
+        let pool: Vec<[u64; 2]> = (0..4).map(|_| [rng.next_u64(), rng.next_u64()]).collect();
+        for i in 0..40u64 {
+            let state = pool[rng.gen_range(0..pool.len())];
+            let action = rng.gen_range(0..NUM_ACTIONS);
+            let reward = rng.gen_f64() * 40.0 - 20.0;
+            e.record(0, i, &state, action, false, i, 0, |_| reward);
+        }
+        for _ in 0..16 {
+            let state = pool[rng.gen_range(0..pool.len())];
+            let legal_mask = rng.gen_range(1u64..128) as u8;
+            let legal: Vec<usize> = (0..NUM_ACTIONS)
+                .filter(|&a| legal_mask & (1 << a) != 0)
+                .collect();
+            let (chosen, q) = e.select(&state, &legal);
+            assert!(
+                legal.contains(&chosen),
+                "case {case}: illegal action {chosen}"
+            );
+            assert_eq!(q.to_bits(), e.q(&state, chosen).to_bits(), "case {case}");
+        }
+    }
+}
+
+/// A toy environment whose state is a pure function of the access, so
+/// a test can read the Q vector an access will be decided against.
+struct KeyEnv;
+
+fn key_state(key: u64, hit: bool) -> [u64; 2] {
+    [key % 13, (key >> 2) ^ hit as u64]
+}
+
+impl Environment for KeyEnv {
+    type Access = u64;
+    type Ctx = ();
+
+    fn state(&mut self, key: &u64, hit: bool) -> ([u64; 2], usize) {
+        (key_state(*key, hit), 2)
+    }
+    fn key(&self, key: &u64) -> u64 {
+        *key
+    }
+    fn lane(&self, _: &u64) -> usize {
+        0
+    }
+    fn matched_reward(&self, _: &u64, hit: bool) -> f64 {
+        if hit {
+            12.0
+        } else {
+            -9.0
+        }
+    }
+    fn unmatched_reward(&self, _: &(), entry: &EqEntry) -> f64 {
+        if entry.action == 0 {
+            5.0
+        } else {
+            -4.0
+        }
+    }
+}
+
+/// `Decision::q` is the engine's Q of the chosen action at decision
+/// time: the table as the access found it, before its own training
+/// step (and unchanged after an unsampled access, which trains
+/// nothing).
+#[test]
+fn decision_q_is_the_engine_q_of_the_chosen_action() {
+    let mut rng = SmallRng::seed_from_u64(0xC02E_0007);
+    let mut agent = Agent::new(
+        KeyEnv,
+        RlEngine::new(EngineConfig {
+            eq_fifo_len: 4,
+            sampled_sets: 4,
+            epsilon: 0.1,
+            ..EngineConfig::from(&ChromeConfig::default())
+        }),
+    );
+    for i in 0..4000 {
+        let key = rng.gen_range(0u64..200);
+        let hit = rng.gen_range(0u64..2) == 1;
+        let state = key_state(key, hit);
+        let si = (i % 3 != 0).then_some((key % 4) as usize);
+        let before = agent.engine.qtable().q_all(&state);
+        let d = agent.on_access(si, &key, hit, &(), &mut NoObserver);
+        assert_eq!(d.q.to_bits(), before[d.action].to_bits(), "access {i}");
+        if si.is_none() {
+            assert_eq!(d.q.to_bits(), agent.engine.q(&state, d.action).to_bits());
+        }
+    }
+    assert!(agent.engine.stats.q_updates > 0, "training ran");
 }
 
 /// The EQ FIFO preserves order, respects capacity and reports

@@ -215,9 +215,6 @@ impl DecisionObserver for RingObserver<'_> {
         });
         self.audit_reward(id, false, reward);
     }
-    fn wants_q_delta(&self) -> bool {
-        true
-    }
     fn q_update(&mut self, delta: f64, action: usize) {
         self.emit(EventKind::QUpdate {
             delta,
@@ -328,15 +325,16 @@ impl ChromeServePolicy {
             lane: u32::from(req.tenant),
         };
         let d = self.agent.on_access(Some(si), req, hit, pressure, &mut obs);
-        let q = self.agent.engine.q(&d.state[..d.features], d.action);
-        self.ring.offer(TraceEvent {
+        // the event reports Q(state, action) as this request's training
+        // step left it; only the events the ring keeps pay for the read
+        self.ring.offer_with(|| TraceEvent {
             cycle: self.clock,
             core: u32::from(req.tenant),
             kind: EventKind::ServeDecision {
                 f1: d.state[0],
                 f2: d.state[1],
                 action: d.action as u8,
-                q,
+                q: self.agent.engine.q(&d.state[..d.features], d.action),
             },
         });
         d.action

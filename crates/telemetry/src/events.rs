@@ -128,11 +128,20 @@ impl EventRing {
     /// Offer an event; returns true if it was stored.
     #[inline]
     pub fn offer(&mut self, ev: TraceEvent) -> bool {
+        self.offer_with(|| ev)
+    }
+
+    /// Offer an event built by `make`, which runs only when the sampler
+    /// keeps this offer; returns true if it was stored. Use it when an
+    /// event's fields cost work to compute.
+    #[inline]
+    pub fn offer_with(&mut self, make: impl FnOnce() -> TraceEvent) -> bool {
         let take = self.offered.is_multiple_of(self.sample_every);
         self.offered += 1;
         if !take {
             return false;
         }
+        let ev = make();
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -230,6 +239,22 @@ mod tests {
         assert_eq!(stored, 10);
         assert_eq!(r.offered(), 30);
         let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
+    }
+
+    #[test]
+    fn offer_with_builds_only_kept_events() {
+        let mut r = EventRing::new(100, 3);
+        let mut built = Vec::new();
+        for c in 0..30 {
+            r.offer_with(|| {
+                built.push(c);
+                ev(c)
+            });
+        }
+        assert_eq!(r.offered(), 30);
+        let cycles: Vec<u64> = r.iter().map(|e| e.cycle).collect();
+        assert_eq!(built, cycles, "every built event is stored, no other");
         assert_eq!(cycles, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
     }
 
